@@ -1,11 +1,10 @@
 """The component metrics registry: counters, gauges, histograms.
 
 Every :class:`Simulator` owns a :class:`MetricsRegistry`; components
-and the measurement shims in :mod:`repro.sim.monitor` register their
-instruments against it on first use (get-or-create, keyed by
-``(component, name)``).  Snapshots are plain nested dicts with sorted
-keys, so two identical runs produce byte-identical snapshots — a
-property the determinism tests rely on.
+register their instruments against it on first use (get-or-create,
+keyed by ``(component, name)``).  Snapshots are plain nested dicts
+with sorted keys, so two identical runs produce byte-identical
+snapshots — a property the determinism tests rely on.
 
 Instruments are deliberately dumb value holders: no locks, no
 timestamps, no scheduling.  Like the tracer, the registry observes the

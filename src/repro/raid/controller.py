@@ -763,7 +763,7 @@ class Raid5Controller(_BaseController):
         raise RaidError(f"disk {disk} holds no data unit in row {row}")
 
     # ------------------------------------------------------------------
-    # rebuild and verification
+    # rebuild
     # ------------------------------------------------------------------
     def rebuild(self, disk_index: int, max_rows: Optional[int] = None):
         """Process: reconstruct a replaced disk's every unit from peers.
@@ -773,56 +773,37 @@ class Raid5Controller(_BaseController):
         unavailable and fall back to reconstruction, so clients can keep
         operating at full correctness throughout.  Each row is rebuilt
         under its row lock so concurrent writes serialize cleanly.
+        ``max_rows`` bounds the pass; the rows past it stay behind the
+        frontier until a later rebuild covers them.
         """
         rows = self.layout.rows if max_rows is None else min(
             self.layout.rows, max_rows)
         nsectors = self.layout.unit_sectors
         self._rebuild_frontier[disk_index] = 0
-        try:
-            with self.sim.tracer.span("raid.rebuild", self.name,
-                                      disk=disk_index, rows=rows):
-                for row in range(rows):
-                    lock = self._row_lock(row)
-                    yield lock.acquire()
-                    try:
-                        others = self._surviving(self._row_disks(row),
-                                                 disk_index, row)
-                        lba = self.layout.row_lba(row)
-                        procs = [self.sim.process(
-                            self._read_unit(d, lba, nsectors))
-                            for d in others]
-                        blocks = yield self.sim.all_of(procs)
-                        unit = yield from self.parity.compute(blocks)
-                        yield from self._data_write(
-                            disk_index, lba, unit, tolerate_failure=False)
-                        self._rebuild_frontier[disk_index] = row + 1
-                        self._m_rebuilt_rows.inc()
-                    finally:
-                        lock.release()
-        finally:
-            # Rows past max_rows (when bounded) remain untrusted only
-            # for the duration of the call; a bounded rebuild is a test
-            # convenience and callers treat the disk as fully rebuilt.
+        with self.sim.tracer.span("raid.rebuild", self.name,
+                                  disk=disk_index, rows=rows):
+            for row in range(rows):
+                lock = self._row_lock(row)
+                yield lock.acquire()
+                try:
+                    others = self._surviving(self._row_disks(row),
+                                             disk_index, row)
+                    lba = self.layout.row_lba(row)
+                    procs = [self.sim.process(
+                        self._read_unit(d, lba, nsectors))
+                        for d in others]
+                    blocks = yield self.sim.all_of(procs)
+                    unit = yield from self.parity.compute(blocks)
+                    yield from self._data_write(
+                        disk_index, lba, unit, tolerate_failure=False)
+                    self._rebuild_frontier[disk_index] = row + 1
+                    self._m_rebuilt_rows.inc()
+                finally:
+                    lock.release()
+        # A bounded or aborted pass keeps the frontier.
+        if rows == self.layout.rows:
             del self._rebuild_frontier[disk_index]
         return None
-
-    def verify_parity(self, max_rows: Optional[int] = None) -> bool:
-        """Instant check: every row's parity equals the XOR of its data."""
-        rows = self.layout.rows if max_rows is None else min(
-            self.layout.rows, max_rows)
-        nsectors = self.layout.unit_sectors
-        for row in range(rows):
-            lba = self.layout.row_lba(row)
-            data_blocks = [
-                self.paths[self._layout5.data_disk(row, k)].disk.peek(
-                    lba, nsectors)
-                for k in range(self.layout.data_units_per_row)
-            ]
-            parity = self.paths[self._layout5.parity_disk(row)].disk.peek(
-                lba, nsectors)
-            if xor_blocks(data_blocks) != parity:
-                return False
-        return True
 
 
 class Raid3Controller(_BaseController):
@@ -985,7 +966,8 @@ class Raid3Controller(_BaseController):
         interleaves between chunks; the frontier keeps reads of the
         not-yet-rebuilt remainder on the reconstruction path (a
         repaired disk is blank, not failed, so without the frontier
-        those reads would silently return zeros).
+        those reads would silently return zeros).  As on RAID 5, the
+        frontier outlives a pass bounded by ``max_rows``.
         """
         rows = self.layout.rows if max_rows is None else min(
             self.layout.rows, max_rows)
@@ -996,45 +978,31 @@ class Raid3Controller(_BaseController):
         if parity_disk != disk_index:
             sources.append(parity_disk)
         self._rebuild_frontier[disk_index] = 0
-        try:
-            with self.sim.tracer.span("raid.rebuild", self.name,
-                                      disk=disk_index, rows=rows):
-                row = 0
-                while row < rows:
-                    nrows = min(chunk_rows, rows - row)
-                    yield self._array_lock.acquire()
-                    try:
-                        for d in sources:
-                            if self.paths[d].disk.failed:
-                                raise UnrecoverableArrayError(
-                                    f"{self.name}: second failure on "
-                                    f"disk {d}")
-                        procs = [self.sim.process(
-                            self._read_unit(d, row, nrows))
-                            for d in sources]
-                        blocks = yield self.sim.all_of(procs)
-                        unit = yield from self.parity.compute(blocks)
-                        yield from self._data_write(
-                            disk_index, row, unit, tolerate_failure=False)
-                        self._rebuild_frontier[disk_index] = row + nrows
-                        self._m_rebuilt_rows.inc(nrows)
-                    finally:
-                        self._array_lock.release()
-                    row += nrows
-        finally:
+        with self.sim.tracer.span("raid.rebuild", self.name,
+                                  disk=disk_index, rows=rows):
+            row = 0
+            while row < rows:
+                nrows = min(chunk_rows, rows - row)
+                yield self._array_lock.acquire()
+                try:
+                    for d in sources:
+                        if self.paths[d].disk.failed:
+                            raise UnrecoverableArrayError(
+                                f"{self.name}: second failure on "
+                                f"disk {d}")
+                    procs = [self.sim.process(
+                        self._read_unit(d, row, nrows))
+                        for d in sources]
+                    blocks = yield self.sim.all_of(procs)
+                    unit = yield from self.parity.compute(blocks)
+                    yield from self._data_write(
+                        disk_index, row, unit, tolerate_failure=False)
+                    self._rebuild_frontier[disk_index] = row + nrows
+                    self._m_rebuilt_rows.inc(nrows)
+                finally:
+                    self._array_lock.release()
+                row += nrows
+        # A bounded or aborted pass keeps the frontier.
+        if rows == self.layout.rows:
             del self._rebuild_frontier[disk_index]
         return None
-
-    def verify_parity(self, max_rows: Optional[int] = None) -> bool:
-        """Instant check of the dedicated parity disk."""
-        rows = self.layout.rows if max_rows is None else min(
-            self.layout.rows, max_rows)
-        ndisks = self.layout.data_units_per_row
-        parity_disk = self._layout3.parity_disk(0)
-        for row in range(rows):
-            data_blocks = [self.paths[d].disk.peek(row, 1)
-                           for d in range(ndisks)]
-            parity = self.paths[parity_disk].disk.peek(row, 1)
-            if xor_blocks(data_blocks) != parity:
-                return False
-        return True

@@ -11,24 +11,18 @@ XBUS crossbar, networks, hosts) on top of these primitives.
 
 from repro.sim.core import AllOf, AnyOf, Event, Interrupt, Process, Simulator, Timeout
 from repro.sim.channel import BandwidthChannel
-from repro.sim.monitor import (BusyMonitor, LatencyMonitor, ThroughputMeter,
-                               ZeroWindow)
 from repro.sim.resources import PriorityResource, Resource, Store
 
 __all__ = [
     "AllOf",
     "AnyOf",
     "BandwidthChannel",
-    "BusyMonitor",
     "Event",
     "Interrupt",
-    "LatencyMonitor",
     "PriorityResource",
     "Process",
     "Resource",
     "Simulator",
     "Store",
-    "ThroughputMeter",
     "Timeout",
-    "ZeroWindow",
 ]

@@ -9,7 +9,6 @@ given capacity; determinism comes from the caller's seeded RNG.
 from __future__ import annotations
 
 import random
-from typing import Iterator
 
 from repro.errors import ReproError
 from repro.units import SECTOR_SIZE
@@ -47,14 +46,3 @@ def sequential_offsets(capacity_bytes: int, size_bytes: int, count: int,
         position += size_bytes
     return requests
 
-
-def interleave(*streams: list[tuple[int, int]]) -> Iterator[tuple[int, int]]:
-    """Round-robin merge of request streams (for mixed workloads)."""
-    iterators = [iter(stream) for stream in streams]
-    live = list(iterators)
-    while live:
-        for iterator in list(live):
-            try:
-                yield next(iterator)
-            except StopIteration:
-                live.remove(iterator)

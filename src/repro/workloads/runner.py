@@ -30,10 +30,6 @@ class Measurement:
     def ios_per_s(self) -> float:
         return self.ops / self.elapsed_s
 
-    @property
-    def mean_latency_s(self) -> float:
-        return self.elapsed_s / self.ops
-
 
 def run_request_stream(sim: Simulator, op_factory: OpFactory,
                        requests: Sequence[tuple[int, int]],

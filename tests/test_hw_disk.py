@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.errors import DiskFailedError, HardwareError
+from repro.errors import DiskFailedError, HardwareError, SimulationError
 from repro.hw import IBM_0661, SEAGATE_WREN_IV, DiskDrive
+from repro.hw.disk import BusyMonitor
 from repro.sim import Simulator
 from repro.units import KIB, MB, SECTOR_SIZE
 
@@ -225,3 +226,72 @@ def test_poke_peek_do_not_advance_clock(sim, disk):
     disk.poke(5, b"\x01" * SECTOR_SIZE)
     assert disk.peek(5, 1) == b"\x01" * SECTOR_SIZE
     assert sim.now == 0.0
+
+
+def test_busy_monitor_tracks_utilization():
+    sim = Simulator()
+    mon = BusyMonitor(sim)
+
+    def body():
+        mon.enter()
+        yield sim.timeout(3.0)
+        mon.exit()
+        yield sim.timeout(1.0)
+
+    sim.run_process(body())
+    assert mon.busy_time == pytest.approx(3.0)
+    assert mon.utilization(4.0) == pytest.approx(0.75)
+
+
+def test_busy_monitor_nesting():
+    sim = Simulator()
+    mon = BusyMonitor(sim)
+
+    def body():
+        mon.enter()
+        yield sim.timeout(1.0)
+        mon.enter()  # nested: should not double count
+        yield sim.timeout(1.0)
+        mon.exit()
+        yield sim.timeout(1.0)
+        mon.exit()
+
+    sim.run_process(body())
+    assert mon.busy_time == pytest.approx(3.0)
+
+
+def test_busy_monitor_exit_without_enter():
+    mon = BusyMonitor(Simulator())
+    with pytest.raises(SimulationError):
+        mon.exit()
+
+
+def test_busy_monitor_counts_open_interval():
+    sim = Simulator()
+    mon = BusyMonitor(sim)
+
+    def body():
+        mon.enter()
+        yield sim.timeout(2.0)
+
+    sim.run_process(body())
+    assert mon.utilization(2.0) == pytest.approx(1.0)
+
+
+def test_busy_monitor_overfull_raises():
+    # busy_time greater than the elapsed window means the intervals
+    # overlap or exit() accounting went wrong; that is a bug, not a
+    # 100%-utilization reading, so it must raise — never clamp.
+    sim = Simulator()
+    mon = BusyMonitor(sim)
+
+    def body():
+        mon.enter()
+        yield sim.timeout(3.0)
+        mon.exit()
+
+    sim.run_process(body())
+    with pytest.raises(SimulationError, match="busy"):
+        mon.utilization(2.0)
+    # Float noise just above 1.0 is tolerated and reported as 1.0.
+    assert mon.utilization(3.0 * (1.0 - 1e-12)) == pytest.approx(1.0)

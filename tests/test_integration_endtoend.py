@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+from repro.analysis.scrub_raid import scrub_array
 from repro.client import RaidFileClient
 from repro.lfs import LogStructuredFS
 from repro.net import UltranetLink
@@ -75,7 +76,8 @@ def story():
     record["read_during_rebuild"] = during
     sim.run()
     record["rebuild_done"] = rebuild.processed
-    record["parity_ok_after_rebuild"] = server.raid.verify_parity(max_rows=48)
+    record["parity_ok_after_rebuild"] = scrub_array(server.raid,
+                                                  max_rows=48).ok
 
     # --- stage 4: churn + cleaning ---
     def churn():

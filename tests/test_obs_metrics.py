@@ -73,21 +73,21 @@ def test_simulator_carries_a_registry():
 
 
 def _run_workload():
-    """A small deterministic workload touching several meter kinds."""
-    from repro.sim import BusyMonitor, LatencyMonitor, ThroughputMeter
-
+    """A small deterministic workload touching every instrument kind."""
     sim = Simulator()
-    meter = ThroughputMeter(sim, name="stream")
-    latency = LatencyMonitor(sim=sim, name="op")
-    busy = BusyMonitor(sim, name="port")
+    metrics = sim.metrics
+    bytes_done = metrics.counter("stream", "bytes_done", unit="B")
+    ops_done = metrics.counter("stream", "ops_done", unit="ops")
+    latency = metrics.histogram("op", "latency")
+    busy = metrics.gauge("port", "busy_time", unit="s")
 
     def body():
         for index in range(5):
-            busy.enter()
             yield sim.timeout(0.25)
-            busy.exit()
-            meter.record(64 * KIB, duration=0.25)
-            latency.record(0.25)
+            busy.add(0.25)
+            bytes_done.inc(64 * KIB)
+            ops_done.inc()
+            latency.observe(0.25)
             yield sim.timeout(0.05)
 
     sim.run_process(body())

@@ -10,6 +10,7 @@ from repro.hw import IBM_0661, DiskDrive
 from repro.raid import (DirectDiskPath, Raid0Controller, Raid1Controller,
                         Raid3Controller, Raid5Controller)
 from repro.sim import Simulator
+from repro.testing import assert_parity_clean
 from repro.units import KIB, MIB, SECTOR_SIZE
 
 SMALL_DISK = dataclasses.replace(IBM_0661, capacity_bytes=4 * MIB)
@@ -172,7 +173,7 @@ def test_raid5_roundtrip_unaligned(sim):
         return data
 
     assert sim.run_process(body()) == payload
-    assert ctrl.verify_parity(max_rows=4)
+    assert_parity_clean(ctrl, max_rows=4)
 
 
 def test_raid5_full_stripe_write_detected(sim):
@@ -185,7 +186,7 @@ def test_raid5_full_stripe_write_detected(sim):
     sim.run_process(body())
     assert ctrl.full_stripe_writes == 1
     assert ctrl.rmw_writes == 0
-    assert ctrl.verify_parity(max_rows=1)
+    assert_parity_clean(ctrl, max_rows=1)
 
 
 def test_raid5_full_stripe_write_reads_nothing(sim):
@@ -212,7 +213,7 @@ def test_raid5_small_write_costs_four_accesses(sim):
     assert ctrl.rmw_writes == 1
     assert sum(path.disk.reads for path in paths) == 2
     assert sum(path.disk.writes for path in paths) == 2
-    assert ctrl.verify_parity(max_rows=1)
+    assert_parity_clean(ctrl, max_rows=1)
 
 
 def test_raid5_overwrite_keeps_parity_consistent(sim):
@@ -230,7 +231,7 @@ def test_raid5_overwrite_keeps_parity_consistent(sim):
     expected[2 * UNIT:5 * UNIT] = pattern(3 * UNIT, seed=2)
     expected[5 * SECTOR_SIZE:7 * SECTOR_SIZE] = pattern(2 * SECTOR_SIZE, seed=3)
     assert data == bytes(expected)
-    assert ctrl.verify_parity(max_rows=4)
+    assert_parity_clean(ctrl, max_rows=4)
 
 
 def test_raid5_degraded_read_reconstructs(sim):
@@ -310,7 +311,7 @@ def test_raid5_rebuild_restores_failed_disk(sim):
     before, after, data = sim.run_process(body())
     assert after == before
     assert data == payload
-    assert ctrl.verify_parity(max_rows=4)
+    assert_parity_clean(ctrl, max_rows=4)
 
 
 def test_raid5_concurrent_small_writes_same_row_stay_consistent(sim):
@@ -323,7 +324,7 @@ def test_raid5_concurrent_small_writes_same_row_stay_consistent(sim):
     for k in range(4):
         sim.process(writer(k, seed=10 + k))
     sim.run()
-    assert ctrl.verify_parity(max_rows=1)
+    assert_parity_clean(ctrl, max_rows=1)
     for k in range(4):
         assert ctrl.peek(k * UNIT, UNIT) == pattern(UNIT, seed=10 + k)
 
@@ -371,7 +372,7 @@ def test_raid3_roundtrip(sim):
         return data
 
     assert sim.run_process(body()) == payload
-    assert ctrl.verify_parity(max_rows=8)
+    assert_parity_clean(ctrl, max_rows=8)
 
 
 def test_raid3_unaligned_write_rmw(sim):
@@ -387,7 +388,7 @@ def test_raid3_unaligned_write_rmw(sim):
     expected = bytearray(pattern(8 * KIB, seed=12))
     expected[3 * SECTOR_SIZE:4 * SECTOR_SIZE] = pattern(SECTOR_SIZE, seed=13)
     assert data == bytes(expected)
-    assert ctrl.verify_parity(max_rows=4)
+    assert_parity_clean(ctrl, max_rows=4)
 
 
 def test_raid3_engages_all_data_disks_per_read(sim):
@@ -439,3 +440,35 @@ def test_raid3_serializes_concurrent_ios():
     concurrent_time = run(concurrent=True)
     serial_time = run(concurrent=False)
     assert concurrent_time >= 0.95 * serial_time
+
+
+# ---------------------------------------------------------------------------
+# Rebuild frontier (RAID 5 and RAID 3)
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("level", [5, 3])
+def test_bounded_rebuild_keeps_unrebuilt_rows_untrusted(sim, level):
+    """Rows a ``max_rows`` rebuild never reached are still blank on the
+    replacement: reads must keep reconstructing them until a later
+    rebuild covers every row, and only then go direct."""
+    paths = make_array(sim, 5)
+    ctrl = (Raid5Controller(sim, paths, UNIT) if level == 5
+            else Raid3Controller(sim, paths))
+    payload = pattern(MIB, seed=21)
+
+    def body():
+        yield from ctrl.write(0, payload)
+        paths[0].disk.fail()
+        paths[0].disk.repair()
+        yield from ctrl.rebuild(0, max_rows=4)
+        bounded = yield from ctrl.read(0, len(payload))
+        yield from ctrl.rebuild(0)
+        before = ctrl.degraded_reads
+        rebuilt = yield from ctrl.read(0, len(payload))
+        return bounded, rebuilt, ctrl.degraded_reads - before
+
+    bounded, rebuilt, reconstructions = sim.run_process(body())
+    assert bounded == payload
+    assert rebuilt == payload
+    assert reconstructions == 0
+    assert_parity_clean(ctrl)

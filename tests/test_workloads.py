@@ -9,7 +9,6 @@ from repro.sim import Simulator
 from repro.units import KIB, MB, SECTOR_SIZE
 from repro.workloads import (random_aligned_offsets, run_request_stream,
                              sequential_offsets)
-from repro.workloads.generators import interleave
 
 
 def test_random_offsets_aligned_and_in_range():
@@ -44,11 +43,6 @@ def test_sequential_offsets_wrap():
     assert requests[3][0] == 0
 
 
-def test_interleave_round_robin():
-    merged = list(interleave([(0, 1), (1, 1)], [(2, 1)]))
-    assert merged == [(0, 1), (2, 1), (1, 1)]
-
-
 def test_run_request_stream_sequential():
     sim = Simulator()
 
@@ -60,7 +54,6 @@ def test_run_request_stream_sequential():
     assert result.elapsed_s == pytest.approx(0.1)
     assert result.mb_per_s == pytest.approx(100.0)
     assert result.ios_per_s == pytest.approx(100.0)
-    assert result.mean_latency_s == pytest.approx(0.01)
 
 
 def test_run_request_stream_concurrent_overlaps():
