@@ -15,9 +15,11 @@ A test then rebuilds a *fresh* simulator and device stack, calls
 LFS roll-forward recovery do its work — exactly the sequence a real
 power-fail test rig performs.
 
-Snapshot/restore reach into the devices' private stores (``_store``):
-this module is verification machinery, deliberately outside the timed
-data path.
+Snapshots are untimed copies, taken outside the timed data path: an
+array's snapshot holds each drive's :meth:`~repro.hw.disk.DiskDrive.snapshot`
+(its sparse page store, copied), a flat device's holds its whole image
+read through ``peek``.  Restoring copies the pages again, so one
+snapshot can be laid down onto any number of fresh stacks.
 """
 
 from __future__ import annotations
@@ -33,13 +35,15 @@ from repro.faults.inject import FaultInjector
 class MediaSnapshot:
     """Durable bytes of one device at an instant.
 
-    Exactly one of ``disks`` (per-drive sparse sector stores, for RAID
-    arrays) or ``flat`` (for :class:`~repro.testing.MemoryDevice`) is
-    set.
+    Exactly one of ``disks`` (for RAID arrays) or ``flat`` (for
+    :class:`~repro.testing.MemoryDevice`) is set.  ``disks`` holds one
+    ``(disk_name, pages)`` pair per member drive, where ``pages`` is
+    that drive's :meth:`~repro.hw.disk.DiskDrive.snapshot`: a copy of
+    its sparse page store, ``{page index: PAGE_SIZE bytearray}``.
     """
 
     at_s: float
-    disks: Optional[list] = None    # [(disk_name, {lba: sector_bytes})]
+    disks: Optional[list[tuple[str, dict[int, bytearray]]]] = None
     flat: Optional[bytes] = None
 
 
@@ -49,14 +53,13 @@ def snapshot_media(device) -> MediaSnapshot:
     if paths is not None:
         return MediaSnapshot(
             at_s=device.sim.now,
-            disks=[(path.disk.name, dict(path.disk._store))
-                   for path in paths])
-    store = getattr(device, "_store", None)
-    if store is None:
+            disks=[(path.disk.name, path.disk.snapshot()) for path in paths])
+    if not hasattr(device, "peek"):
         raise HardwareError(
             f"cannot snapshot {device!r}: neither a RAID controller "
             "nor a flat-store device")
-    return MediaSnapshot(at_s=device.sim.now, flat=bytes(store))
+    return MediaSnapshot(at_s=device.sim.now,
+                         flat=device.peek(0, device.capacity_bytes))
 
 
 def restore_media(snapshot: MediaSnapshot, device) -> None:
@@ -67,20 +70,20 @@ def restore_media(snapshot: MediaSnapshot, device) -> None:
             raise HardwareError(
                 "snapshot has per-disk stores but the target is not a "
                 "matching array")
-        for path, (name, store) in zip(paths, snapshot.disks):
+        for path, (name, pages) in zip(paths, snapshot.disks):
             if path.disk.name != name:
                 raise HardwareError(
                     f"snapshot disk {name!r} does not match target "
                     f"{path.disk.name!r}")
-            path.disk._store.clear()
-            path.disk._store.update(store)
+            path.disk.restore(pages)
         return
-    store = getattr(device, "_store", None)
-    if store is None or len(store) != len(snapshot.flat):
+    flat = snapshot.flat
+    if flat is None or not hasattr(device, "poke") \
+            or device.capacity_bytes != len(flat):
         raise HardwareError(
             "snapshot is a flat image but the target has no matching "
             "flat store")
-    store[:] = snapshot.flat
+    device.poke(0, flat)
 
 
 class CrashableDevice:

@@ -89,6 +89,9 @@ class UpdateInPlaceFS:
         self._inode_blocks = 0
         self._data_start = 0
         self._total_blocks = 0
+        #: Lowest block that may be free: every block below it is
+        #: allocated, so first-fit allocation can start its scan here.
+        self._free_hint = 0
         self.data_writes = 0
         self.data_reads = 0
 
@@ -106,6 +109,7 @@ class UpdateInPlaceFS:
         self._bitmap = bytearray(self._bitmap_blocks * BLOCK_SIZE)
         for block in range(self._data_start):
             self._set_bit(block)
+        self._free_hint = self._data_start
         self._inodes = [_FfsInode() for _ in range(self.max_files)]
         self._names = {}
         yield from self._write_inode_table()
@@ -146,14 +150,17 @@ class UpdateInPlaceFS:
 
     def _clear_bit(self, block: int) -> None:
         self._bitmap[block // 8] &= ~(1 << (block % 8))
+        self._free_hint = min(self._free_hint, block)
 
     def _test_bit(self, block: int) -> bool:
         return bool(self._bitmap[block // 8] & (1 << (block % 8)))
 
     def _allocate_block(self) -> int:
-        for block in range(self._data_start, self._total_blocks):
+        """First-fit: the lowest clear bit in the data area."""
+        for block in range(self._free_hint, self._total_blocks):
             if not self._test_bit(block):
                 self._set_bit(block)
+                self._free_hint = block + 1
                 return block
         raise NoSpaceFsError("FFS volume full")
 

@@ -1,9 +1,18 @@
-"""Disk drive model: mechanics plus a sparse sector store.
+"""Disk drive model: mechanics plus a sparse page store.
 
 A :class:`DiskDrive` is both a *timing* model (seek curve, rotational
 latency, media transfer rate, track-buffer read-ahead) and a *storage*
-model — it really stores the bytes written to it, sparsely, so the RAID
-and file-system layers above can be verified byte-for-byte.
+model — it really stores the bytes written to it, so the RAID and
+file-system layers above can be verified byte-for-byte.
+
+The store is sparse at page granularity: a dict of :data:`PAGE_SIZE`
+``bytearray`` pages, each allocated (zeroed) the first time a write
+touches it.  A write lands with one slice assignment per page it
+covers; a read returns immutable ``bytes`` built with exactly one copy
+(pages never written read as zeros).  The store costs host time only —
+it has no effect on simulated timing.  :meth:`DiskDrive.snapshot` and
+:meth:`DiskDrive.restore` copy the pages out and back in for crash
+tests (see :mod:`repro.faults.crash`).
 
 Timing structure per operation (all under the drive's single command
 slot, since a drive services one command at a time):
@@ -29,9 +38,23 @@ from repro.errors import (DiskFailedError, HardwareError, MediumError,
                           SimulationError)
 from repro.hw.specs import DiskSpec
 from repro.sim import Resource, Simulator
-from repro.units import MB, SECTOR_SIZE
+from repro.units import KIB, MB, SECTOR_SIZE
 
-_ZERO_SECTOR = bytes(SECTOR_SIZE)
+#: Granularity of the sparse media store (a multiple of the sector size).
+PAGE_SIZE = 64 * KIB
+
+_ZERO_PAGE = bytes(PAGE_SIZE)
+
+def _page_pieces(start: int, nbytes: int):
+    """Split a byte extent by page: yields (page index, offset in the
+    page, offset in the extent, length) for each page it touches."""
+    done = 0
+    while done < nbytes:
+        index, offset = divmod(start + done, PAGE_SIZE)
+        length = min(PAGE_SIZE - offset, nbytes - done)
+        yield index, offset, done, length
+        done += length
+
 
 #: Relative slack for busy-time accounting checks: utilization may
 #: exceed 1.0 by at most this much before it is treated as a bug.
@@ -92,7 +115,8 @@ class DiskDrive:
         self.spec = spec
         self.name = name
         self._slot = Resource(sim, capacity=1, name=f"{name}.slot")
-        self._store: dict[int, bytes] = {}
+        #: Sparse media: page index -> PAGE_SIZE bytes of that page.
+        self._pages: dict[int, bytearray] = {}
         self._head_cylinder = 0
         #: (kind, next_lba) of the most recent operation, for
         #: sequential-access detection.
@@ -149,7 +173,7 @@ class DiskDrive:
         """Bring a replacement drive online (empty unless ``wipe=False``)."""
         self.failed = False
         if wipe:
-            self._store.clear()
+            self._pages.clear()
             self._bad_sectors.clear()
         self._last = None
         self._head_cylinder = 0
@@ -260,10 +284,20 @@ class DiskDrive:
     def peek(self, lba: int, nsectors: int) -> bytes:
         """Return stored bytes without consuming simulated time."""
         self._check_extent(lba, nsectors)
-        store = self._store
+        pages = self._pages
+        start = lba * SECTOR_SIZE
+        nbytes = nsectors * SECTOR_SIZE
+        index, offset = divmod(start, PAGE_SIZE)
+        if offset + nbytes <= PAGE_SIZE:
+            page = pages.get(index)
+            if page is None:
+                return _ZERO_PAGE[offset:offset + nbytes]
+            # Pages are mutable: the caller gets its own immutable copy.
+            return bytes(  # lint: disable=SIM004
+                memoryview(page)[offset:offset + nbytes])
         return b"".join(
-            store.get(sector, _ZERO_SECTOR)
-            for sector in range(lba, lba + nsectors))
+            memoryview(pages.get(index, _ZERO_PAGE))[offset:offset + length]
+            for index, offset, _done, length in _page_pieces(start, nbytes))
 
     def poke(self, lba: int, data: bytes) -> None:
         """Store bytes without consuming simulated time."""
@@ -273,15 +307,31 @@ class DiskDrive:
         nsectors = len(data) // SECTOR_SIZE
         self._check_extent(lba, nsectors)
         view = memoryview(data)
-        store = self._store
-        for index in range(nsectors):
-            # The durability boundary: bytes become stable here.
-            chunk = bytes(  # lint: disable=SIM004
-                view[index * SECTOR_SIZE:(index + 1) * SECTOR_SIZE])
-            store[lba + index] = chunk
+        pages = self._pages
+        for index, offset, done, length in _page_pieces(lba * SECTOR_SIZE,
+                                                        len(data)):
+            page = pages.get(index)
+            if page is None:
+                page = pages[index] = bytearray(PAGE_SIZE)
+            # The durability boundary: the payload is copied in here.
+            page[offset:offset + length] = view[done:done + length]
         if self._bad_sectors:
             # Writing a latent-error sector remaps/heals it.
             self._bad_sectors.difference_update(range(lba, lba + nsectors))
+
+    def snapshot(self) -> dict[int, bytearray]:
+        """Copy of the media as {page index: page}, untimed.
+
+        Pages are copied, so later writes do not reach the snapshot.
+        """
+        return {index: bytearray(page) for index, page in self._pages.items()}
+
+    def restore(self, pages: dict[int, bytearray]) -> None:
+        """Replace the media with a :meth:`snapshot`, untimed.
+
+        Pages are copied again, so one snapshot can seed many drives.
+        """
+        self._pages = {index: bytearray(page) for index, page in pages.items()}
 
     def _check_extent(self, lba: int, nsectors: int) -> None:
         if nsectors <= 0:

@@ -15,7 +15,7 @@ from repro.errors import CrashPoint
 from repro.faults import (CrashableDevice, DiskDeath, FaultInjector,
                           FaultPlan, HostCrash, LatentSectorError, LinkStall,
                           RetryPolicy, TransientFault, attach_array,
-                          attach_server, restore_media)
+                          attach_server, restore_media, snapshot_media)
 from repro.hw import IBM_0661, DiskDrive
 from repro.hw.cougar import CougarController
 from repro.raid import DirectDiskPath, Raid5Controller
@@ -191,6 +191,45 @@ def test_crashable_device_snapshot_restore_roundtrip():
     raw2 = MemoryDevice(sim2, 1 * MIB)
     restore_media(snapshot, raw2)
     assert raw2.peek(0, 1 * MIB) == raw.peek(0, 1 * MIB)
+
+
+def _disk_images(paths):
+    return [path.disk.peek(0, path.disk.num_sectors) for path in paths]
+
+
+def test_array_snapshot_is_unaffected_by_later_writes():
+    sim = Simulator()
+    paths, raid = make_array(sim)
+    sim.run_process(raid.write(0, pattern(320 * KIB, seed=1)))
+    before = _disk_images(paths)
+    snapshot = snapshot_media(raid)
+    # Keep writing over the same pages the snapshot holds.
+    sim.run_process(raid.write(16 * KIB, pattern(256 * KIB, seed=2)))
+    assert _disk_images(paths) != before
+
+    sim2 = Simulator()
+    paths2, raid2 = make_array(sim2)
+    restore_media(snapshot, raid2)
+    assert _disk_images(paths2) == before
+    assert_parity_clean(raid2)
+
+
+def test_one_snapshot_restores_into_independent_arrays():
+    sim = Simulator()
+    paths, raid = make_array(sim)
+    sim.run_process(raid.write(0, pattern(320 * KIB, seed=3)))
+    before = _disk_images(paths)
+    snapshot = snapshot_media(raid)
+
+    sim_a, sim_b = Simulator(), Simulator()
+    paths_a, raid_a = make_array(sim_a)
+    paths_b, raid_b = make_array(sim_b)
+    restore_media(snapshot, raid_a)
+    restore_media(snapshot, raid_b)
+    sim_a.run_process(raid_a.write(0, pattern(320 * KIB, seed=4)))
+    assert _disk_images(paths_a) != before
+    assert _disk_images(paths_b) == before
+    assert _disk_images(paths) == before
 
 
 # ---------------------------------------------------------------------------

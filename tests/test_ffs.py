@@ -94,6 +94,46 @@ def test_unlink_frees_space():
         500 * KIB, seed=7)
 
 
+def test_allocation_stays_first_fit():
+    """Every allocation is the lowest clear bit in the data area, as a
+    full scan from the start of the data area would find it."""
+    sim, _device, fs = make_fs(capacity=2 * MIB)
+    allocate = fs._allocate_block
+    allocated = []
+
+    def checked():
+        expected = next(block
+                        for block in range(fs._data_start, fs._total_blocks)
+                        if not fs._test_bit(block))
+        block = allocate()
+        assert block == expected
+        allocated.append(block)
+        return block
+
+    fs._allocate_block = checked
+    rng = random.Random(23)
+    live: list[str] = []
+    for step in range(120):
+        if live and (len(live) >= 6 or rng.random() < 0.3):
+            path = live.pop(rng.randrange(len(live)))
+            sim.run_process(fs.unlink(path))
+            continue
+        if live and rng.random() < 0.4:
+            path = rng.choice(live)
+        else:
+            path = f"/f{step}"
+            sim.run_process(fs.create(path))
+            live.append(path)
+        # Up to 20 blocks, so some files need the indirect block.
+        offset = rng.randrange(0, 16) * BLOCK_SIZE + rng.randrange(BLOCK_SIZE)
+        size = rng.randrange(1, 4 * BLOCK_SIZE)
+        sim.run_process(fs.write(path, offset, pattern(size, seed=step)))
+    assert len(allocated) > 100
+    # Frees were reused: some allocation went below an earlier one.
+    assert any(later < earlier
+               for earlier, later in zip(allocated, allocated[1:]))
+
+
 def test_small_write_on_raid5_triggers_rmw():
     """The motivating behaviour: FFS small writes become RAID-5 RMWs."""
     sim = Simulator()

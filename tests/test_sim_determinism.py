@@ -6,15 +6,33 @@ The trace is captured by hooking ``heapq.heappush`` rather than
 its heap entry inline and never goes through ``_enqueue``, so only the
 heappush chokepoint sees every scheduling action.  Each trace record is
 a ``(time, kind, event-type, component)`` tuple.
+
+Besides run-to-run identity, the fig5 traces are pinned to golden
+digests, so a change that claims "scheduling unchanged" is checked
+against the recorded schedule rather than only against itself.
 """
 
 from __future__ import annotations
 
 import gc
+import hashlib
 import heapq
+
+import pytest
 
 from repro.sim.core import _KIND_INTERRUPT
 from repro.units import KIB
+
+#: SHA-256 of ``repr((result, trace))`` for ``fig5._measure(kind,
+#: 256 KiB, 4, seed)``, recorded with the per-sector disk store that
+#: the page store replaced.  Float ``repr`` is the shortest round-trip
+#: form on every supported Python, so the digests are portable.
+_FIG5_GOLDEN = {
+    ("read", 101):
+        "d864e62bc1f00a4689eec60944389fac42fd23c3b2aa3a0f4bfb806ae7a83b5f",
+    ("write", 202):
+        "edae6338a4ffee948155b1604b191733a7ece884852fbb8e359a4419a46606bd",
+}
 
 
 def _component_of(kind: int, obj) -> str | None:
@@ -60,6 +78,15 @@ def test_fig5_trace_identical_across_fresh_simulators():
 
     _assert_identical_twice(lambda: fig5._measure("read", 256 * KIB, 4, 101))
     _assert_identical_twice(lambda: fig5._measure("write", 256 * KIB, 4, 202))
+
+
+@pytest.mark.parametrize("kind,seed", sorted(_FIG5_GOLDEN))
+def test_fig5_trace_matches_golden_fingerprint(kind, seed):
+    from repro.experiments import fig5_hw_throughput as fig5
+
+    result, trace = _traced(lambda: fig5._measure(kind, 256 * KIB, 4, seed))
+    digest = hashlib.sha256(repr((result, trace)).encode()).hexdigest()
+    assert digest == _FIG5_GOLDEN[(kind, seed)]
 
 
 def test_table2_trace_identical_across_fresh_simulators():
