@@ -3,12 +3,13 @@
 Unlike the ``bench_fig*`` modules — which measure *simulated* time —
 everything here measures *host* wall-clock time: how fast the Python
 event loop dispatches events, churns timeouts, moves transfers through
-a :class:`BandwidthChannel`, and XORs parity blocks.  These are the
-costs that bound how long the whole reproduction takes to run
-(ROADMAP: "as fast as the hardware allows"), so they get their own
-regression harness: ``benchmarks/record.py`` runs this suite and
-writes ``BENCH_kernel.json``, and CI fails if the event-dispatch rate
-regresses more than 30% against the committed numbers.
+a :class:`BandwidthChannel`, spawns and joins per-disk-op legs, and
+XORs parity blocks.  These are the costs that bound how long the whole
+reproduction takes to run, so they get their own regression harness:
+``benchmarks/record.py`` runs this suite and writes
+``BENCH_kernel.json`` (history only), and its ``--paired`` mode runs
+the :data:`KERNEL_RATES` benchmarks against a base commit and HEAD
+interleaved on one host — the gate CI applies, on their ratio.
 
 Every benchmark is deterministic in *simulated* behaviour (fixed
 seeds, fixed workloads); only the wall-clock readings vary from host
@@ -28,6 +29,7 @@ from repro.units import KIB, MB
 _EVENTS = (300_000, 30_000)
 _CHURN = (150_000, 15_000)
 _TRANSFERS = (40_000, 4_000)
+_SPAWN_JOINS = (20_000, 2_000)
 _PARITY_ROUNDS = (300, 30)
 
 #: Each microbenchmark reports its best of this many runs: host
@@ -119,6 +121,37 @@ def bench_channel_transfer(quick: bool = False) -> dict:
     transfers = workers * per_worker
     return {"transfers": transfers, "seconds": elapsed,
             "transfers_per_s": transfers / elapsed}
+
+
+def bench_spawn_join(quick: bool = False) -> dict:
+    """Disk operations per wall-clock second in the per-op leg shape.
+
+    Every simulated disk operation spawns three concurrent legs —
+    drive media, SCSI string, controller channel — and joins them with
+    ``all_of`` (``CougarController.read``/``write``).  Here four
+    parents each loop over that shape with three channel-transfer
+    legs, so process start, completion and the join dominate.
+    """
+    total = _SPAWN_JOINS[quick]
+    workers = 4
+    per_worker = total // workers
+    sim = Simulator()
+    channels = [BandwidthChannel(sim, rate_mb_s=rate, name=f"leg{index}")
+                for index, rate in enumerate((2.2, 3.0, 8.0))]
+
+    def parent():
+        for _ in range(per_worker):
+            legs = [sim.process(channel.transfer(4 * KIB), name="leg")
+                    for channel in channels]
+            yield sim.all_of(legs)
+
+    for _ in range(workers):
+        sim.process(parent())
+    start = perf_counter()
+    sim.run()
+    elapsed = perf_counter() - start
+    ops = workers * per_worker
+    return {"ops": ops, "seconds": elapsed, "ops_per_s": ops / elapsed}
 
 
 def bench_tracing_overhead(quick: bool = False) -> dict:
@@ -242,18 +275,29 @@ def bench_experiment_wallclock(experiment: str = "fig5") -> dict:
             "scalars": dict(result.scalars)}
 
 
+#: The pure-kernel benchmarks and the rate key each reports: what the
+#: paired gate (``record.py --paired``) compares between two trees.
+KERNEL_RATES = {
+    "event_dispatch": (bench_event_dispatch, "events_per_s"),
+    "timeout_churn": (bench_timeout_churn, "timeouts_per_s"),
+    "channel_transfer": (bench_channel_transfer, "transfers_per_s"),
+    "spawn_join": (bench_spawn_join, "ops_per_s"),
+}
+
+
 def run_suite(quick: bool = False, experiments: bool = True) -> dict:
     """Run every kernel benchmark (best of ``_REPEATS`` runs each);
     returns {name: result dict}."""
     results = {
-        "event_dispatch": _best_of(lambda: bench_event_dispatch(quick)),
-        "timeout_churn": _best_of(lambda: bench_timeout_churn(quick)),
-        "channel_transfer": _best_of(lambda: bench_channel_transfer(quick)),
+        name: _best_of(lambda: bench(quick))
+        for name, (bench, _key) in KERNEL_RATES.items()
+    }
+    results.update({
         "parity_throughput": _best_of(lambda: bench_parity_throughput(quick)),
         # Repeats and pairs its own runs internally (the figure of
         # merit is a ratio), so no _best_of wrapper.
         "tracing_overhead": bench_tracing_overhead(quick),
-    }
+    })
     if experiments:
         results["fig5_quick_wallclock"] = _best_of(
             lambda: bench_experiment_wallclock("fig5"))
@@ -277,6 +321,7 @@ def test_kernel_microbenchmarks(capsys):
     assert results["event_dispatch"]["events_per_s"] > 0
     assert results["timeout_churn"]["timeouts_per_s"] > 0
     assert results["channel_transfer"]["transfers_per_s"] > 0
+    assert results["spawn_join"]["ops_per_s"] > 0
     assert results["parity_throughput"]["mb_per_s"] > 0
     # The observability acceptance gate: disabled tracing must cost
     # the instrumented data path less than 5% wall-clock.

@@ -1,4 +1,4 @@
-"""Record kernel-benchmark numbers to ``BENCH_kernel.json``.
+"""Record kernel-benchmark numbers, or gate HEAD against a base commit.
 
 Usage::
 
@@ -6,17 +6,26 @@ Usage::
     python benchmarks/record.py --quick              # CI-sized suite
     python benchmarks/record.py --baseline old.json  # carry old numbers
                                                      # forward as "baseline"
-    python benchmarks/record.py --check BENCH_kernel.json
-                                                     # exit 1 on >30% dispatch
-                                                     # regression
+    python benchmarks/record.py --quick --paired origin/main --out paired.json
+                                                     # exit 1 when HEAD's kernel
+                                                     # is >15% slower than the base
 
-The output JSON has two sections: ``baseline`` (the numbers measured
+``BENCH_kernel.json`` is history: ``baseline`` (the numbers measured
 before the kernel fast path landed, carried forward verbatim so the
-perf trajectory stays visible) and ``current`` (this run).  ``speedup``
-maps each benchmark to current/baseline rate.  CI's ``bench-smoke``
-job runs ``--quick --check`` against the committed file and fails when
-the event-dispatch rate drops more than ``--tolerance`` (default 30%)
-below the committed ``current`` number.
+perf trajectory stays visible) and ``current`` (the last recording).
+``speedup`` maps each benchmark to current/baseline rate.  Absolute
+rates depend on the host that recorded them, so nothing gates on them.
+
+``--paired REF`` is the regression gate CI's ``bench-smoke`` job runs.
+It checks REF out into a temporary git worktree and starts two worker
+interpreters, one importing the base tree's ``src`` and one HEAD's;
+both run this checkout's kernel benchmarks
+(``bench_kernel.KERNEL_RATES``).  Each pair runs every benchmark once on each side,
+back to back, alternating which side goes first, for :data:`PAIRS`
+pairs — so a slow stretch of a shared host hits both sides of a pair
+alike.  Each benchmark's figure is the median over the pairs of head
+rate / base rate; the gate fails when any falls below
+``1 - --tolerance``.
 """
 
 from __future__ import annotations
@@ -24,22 +33,44 @@ from __future__ import annotations
 import argparse
 import json
 import platform
+import shutil
+import statistics
+import subprocess
 import sys
+import tempfile
+from contextlib import contextmanager
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent))
-REPO_ROOT = Path(__file__).resolve().parent.parent
+BENCH_DIR = Path(__file__).resolve().parent
+sys.path.insert(0, str(BENCH_DIR))
+REPO_ROOT = BENCH_DIR.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from bench_kernel import run_suite  # noqa: E402
+from bench_kernel import KERNEL_RATES, run_suite  # noqa: E402
 
-#: The rate key CI guards, per benchmark name.
-RATE_KEYS = {
-    "event_dispatch": "events_per_s",
-    "timeout_churn": "timeouts_per_s",
-    "channel_transfer": "transfers_per_s",
-    "parity_throughput": "mb_per_s",
-}
+#: The rate key reported per benchmark name.
+RATE_KEYS = {name: key for name, (_bench, key) in KERNEL_RATES.items()}
+RATE_KEYS["parity_throughput"] = "mb_per_s"
+
+#: Base/HEAD pairs the gate runs: enough for a steady median on a
+#: shared host at about 7 s of quick-sized benchmarks.
+PAIRS = 21
+
+#: One side of the paired gate: runs this checkout's kernel benchmarks
+#: against the ``repro`` package under ``argv[1]``, one per name read
+#: from stdin, answering each with its rate.
+_WORKER = """
+import json, os, sys
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+import repro, bench_kernel
+if not os.path.realpath(repro.__file__).startswith(
+        os.path.realpath(sys.argv[1])):
+    sys.exit(f"imported {repro.__file__}, not the tree under test")
+quick = sys.argv[3] == "quick"
+for line in sys.stdin:
+    bench, key = bench_kernel.KERNEL_RATES[line.strip()]
+    print(json.dumps(bench(quick)[key]), flush=True)
+"""
 
 
 def _rates(results: dict) -> dict:
@@ -60,17 +91,74 @@ def measure(quick: bool, experiments: bool = True) -> dict:
     }
 
 
-def check(current: dict, committed_path: Path, tolerance: float) -> int:
-    """Compare the dispatch rate against the committed file; 0 = ok."""
-    committed = json.loads(committed_path.read_text())
-    reference = committed["current"]["results"]["event_dispatch"]["events_per_s"]
-    measured = current["results"]["event_dispatch"]["events_per_s"]
-    floor = reference * (1.0 - tolerance)
-    status = "ok" if measured >= floor else "REGRESSION"
-    print(f"event_dispatch: measured {measured:,.0f}/s vs committed "
-          f"{reference:,.0f}/s (floor {floor:,.0f}/s at "
-          f"-{tolerance:.0%}): {status}")
-    return 0 if measured >= floor else 1
+@contextmanager
+def base_worktree(ref: str):
+    """A temporary git worktree of ``ref``; yields its root."""
+    tmp = Path(tempfile.mkdtemp(prefix="bench-base-"))
+    root = tmp / "base"
+    subprocess.run(["git", "-C", str(REPO_ROOT), "worktree", "add",
+                    "--detach", str(root), ref],
+                   check=True, capture_output=True, text=True)
+    try:
+        yield root
+    finally:
+        subprocess.run(["git", "-C", str(REPO_ROOT), "worktree", "remove",
+                        "--force", str(root)],
+                       check=False, capture_output=True)
+        shutil.rmtree(tmp, ignore_errors=True)
+
+
+class _Worker:
+    """A benchmark interpreter bound to one tree's ``src``."""
+
+    def __init__(self, src: Path, quick: bool):
+        self.proc = subprocess.Popen(
+            [sys.executable, "-c", _WORKER, str(src), str(BENCH_DIR),
+             "quick" if quick else "full"],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+
+    def rate(self, name: str) -> float:
+        self.proc.stdin.write(name + "\n")
+        self.proc.stdin.flush()
+        line = self.proc.stdout.readline()
+        if not line:
+            raise RuntimeError(f"benchmark worker died running {name}")
+        return json.loads(line)
+
+    def close(self) -> None:
+        self.proc.stdin.close()
+        self.proc.wait()
+
+
+def paired(ref: str, quick: bool, tolerance: float) -> dict:
+    """Interleaved base/HEAD kernel rates and the gate's verdict."""
+    names = list(KERNEL_RATES)
+    rates: dict = {"base": {name: [] for name in names},
+                   "head": {name: [] for name in names}}
+    with base_worktree(ref) as base_root:
+        workers = {"base": _Worker(base_root / "src", quick),
+                   "head": _Worker(REPO_ROOT / "src", quick)}
+        try:
+            for worker in workers.values():  # warm-up, discarded
+                for name in names:
+                    worker.rate(name)
+            for index in range(PAIRS):
+                order = ("base", "head") if index % 2 == 0 \
+                    else ("head", "base")
+                for name in names:
+                    for side in order:
+                        rates[side][name].append(workers[side].rate(name))
+        finally:
+            for worker in workers.values():
+                worker.close()
+    ratios = {name: statistics.median(
+                  head / base for head, base in zip(rates["head"][name],
+                                                    rates["base"][name]))
+              for name in names}
+    floor = 1.0 - tolerance
+    return {"base": ref, "pairs": PAIRS, "quick": quick,
+            "tolerance": tolerance, "rates": rates, "ratio": ratios,
+            "ok": all(ratio >= floor for ratio in ratios.values())}
 
 
 def main(argv=None) -> int:
@@ -79,18 +167,32 @@ def main(argv=None) -> int:
                         help="CI-sized workloads (~seconds, not minutes)")
     parser.add_argument("--no-experiments", action="store_true",
                         help="skip the full-experiment wall-clock timings")
-    parser.add_argument("--out", default=str(REPO_ROOT / "BENCH_kernel.json"),
-                        help="output path (default: repo BENCH_kernel.json)")
+    parser.add_argument("--out", default=None,
+                        help="output path (default: repo BENCH_kernel.json "
+                             "when recording; none for --paired)")
     parser.add_argument("--baseline", default=None,
                         help="JSON file whose measurements become the "
                              "'baseline' section of the output")
-    parser.add_argument("--check", default=None,
-                        help="committed BENCH_kernel.json to compare the "
-                             "event-dispatch rate against")
-    parser.add_argument("--tolerance", type=float, default=0.30,
-                        help="allowed fractional dispatch-rate regression "
-                             "for --check (default 0.30)")
+    parser.add_argument("--paired", default=None, metavar="REF",
+                        help="gate HEAD against git ref REF instead of "
+                             "recording")
+    parser.add_argument("--tolerance", type=float, default=0.15,
+                        help="allowed fractional slowdown of any kernel "
+                             "benchmark's median HEAD/base rate ratio for "
+                             "--paired (default 0.15)")
     args = parser.parse_args(argv)
+
+    if args.paired:
+        result = paired(args.paired, args.quick, args.tolerance)
+        if args.out:
+            Path(args.out).write_text(
+                json.dumps(result, indent=2, sort_keys=True) + "\n")
+        floor = 1.0 - args.tolerance
+        for name, ratio in result["ratio"].items():
+            status = "ok" if ratio >= floor else "REGRESSION"
+            print(f"  {name:<18} : HEAD/base {ratio:.3f} "
+                  f"(floor {floor:.2f}): {status}")
+        return 0 if result["ok"] else 1
 
     current = measure(args.quick, experiments=not args.no_experiments)
     document = {"schema": 1, "current": current}
@@ -117,7 +219,7 @@ def main(argv=None) -> int:
                 document["speedup"][exp] = round(
                     base_exp["seconds"] / cur_exp["seconds"], 3)
 
-    out_path = Path(args.out)
+    out_path = Path(args.out or REPO_ROOT / "BENCH_kernel.json")
     out_path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
     print(f"wrote {out_path}")
     for name, rate in _rates(current["results"]).items():
@@ -132,9 +234,6 @@ def main(argv=None) -> int:
             line += (f"   ({document['speedup']['fig5_quick_wallclock']:.2f}x "
                      "vs baseline)")
         print(line)
-
-    if args.check:
-        return check(current, Path(args.check), args.tolerance)
     return 0
 
 

@@ -47,6 +47,22 @@ _AMBIGUOUS_NAMES = {"append", "add", "update", "extend", "insert", "pop",
                     "get", "set", "put"}
 
 
+def _local_names(func: ast.FunctionDef) -> set[str]:
+    """Names the function binds itself: parameters and assignment
+    targets (``check = self._check``).  A call through one of these
+    refers to the local value, not to a project generator that happens
+    to share its name."""
+    args = func.args
+    names = {arg.arg for arg in (args.posonlyargs + args.args
+                                 + args.kwonlyargs)}
+    names.update(arg.arg for arg in (args.vararg, args.kwarg)
+                 if arg is not None)
+    names.update(node.id for node in walk_scope(func)
+                 if isinstance(node, ast.Name)
+                 and isinstance(node.ctx, ast.Store))
+    return names
+
+
 @register_rule
 class UnyieldedEventCall(LintRule):
     """SIM001: a simulation-process or Event call whose result is dropped."""
@@ -59,6 +75,7 @@ class UnyieldedEventCall(LintRule):
               project: Project) -> Iterator[Finding]:
         for func in iter_functions(source.tree):
             inside_generator = is_generator(func)
+            local = _local_names(func)
             for node in walk_scope(func):
                 if not isinstance(node, ast.Expr) \
                         or not isinstance(node.value, ast.Call):
@@ -66,6 +83,8 @@ class UnyieldedEventCall(LintRule):
                 name = call_name(node.value)
                 if name is None or name in _SPAWN_NAMES \
                         or name in _AMBIGUOUS_NAMES:
+                    continue
+                if isinstance(node.value.func, ast.Name) and name in local:
                     continue
                 if name in project.generator_names:
                     how = "yield from" if inside_generator else "run_process"

@@ -26,6 +26,11 @@ from repro.hw.scsi import ScsiString
 from repro.sim import BandwidthChannel, Simulator
 from repro.units import SECTOR_SIZE
 
+#: What an op on one disk needs to know about its path: the disk's
+#: string, that string's index, and the read, write and string leg
+#: process names.
+_Route = tuple[ScsiString, int, str, str, str]
+
 
 class CougarController:
     """One Cougar board: two SCSI strings sharing a controller channel."""
@@ -57,6 +62,10 @@ class CougarController:
         #: Operations currently in flight per string (indexed like
         #: ``strings``); used for the dual-string contention check.
         self._inflight = [0] * spec.strings
+        #: Each disk's route, filled on the disk's first op (strings
+        #: may gain disks after the controller is built).
+        self._routes: dict[DiskDrive, _Route] = {}
+        self._xfer_name = f"{name}.xfer"
 
     # ------------------------------------------------------------------
     def string_of(self, disk: DiskDrive) -> ScsiString:
@@ -65,22 +74,27 @@ class CougarController:
                 return string
         raise HardwareError(f"{disk.name} is not on any string of {self.name}")
 
+    def _route(self, disk: DiskDrive) -> _Route:
+        string = self.string_of(disk)
+        route = (string, self.strings.index(string), f"{disk.name}.read",
+                 f"{disk.name}.write", f"{string.name}.xfer")
+        self._routes[disk] = route
+        return route
+
     @property
     def disks(self) -> list[DiskDrive]:
         return [disk for string in self.strings for disk in string.disks]
 
-    def _other_string_busy(self, string: ScsiString) -> bool:
-        index = self.strings.index(string)
-        return any(count > 0 for other, count in enumerate(self._inflight)
-                   if other != index)
-
-    def _dual_string_delay(self, string: ScsiString):
+    def _dual_string_delay(self, index: int):
         """Process: serial command-handling delay when both strings are
         in use.  This is "contention on the controller that results in
         lower performance when both strings are used" (Section 2.3) —
         charged up front, before the data legs, so it extends the
         operation's critical path."""
-        if self._other_string_busy(string):
+        # In-flight counts are never negative, so another string is
+        # busy exactly when the total exceeds this string's own count.
+        inflight = self._inflight
+        if sum(inflight) > inflight[index]:
             self.contention_events += 1
             yield self.sim.timeout(self.spec.dual_string_penalty_s)
         return None
@@ -154,43 +168,41 @@ class CougarController:
         model cut-through; the operation completes when the slowest
         finishes.
         """
-        string = self.string_of(disk)
-        index = self.strings.index(string)
+        string, index, read_name, _write_name, string_name = \
+            self._routes.get(disk) or self._route(disk)
         nbytes = nsectors * SECTOR_SIZE
+        sim = self.sim
 
         def spawn_legs():
-            read_proc = self.sim.process(disk.read(lba, nsectors),
-                                         name=f"{disk.name}.read")
-            string_proc = self.sim.process(string.transfer(nbytes),
-                                           name=f"{string.name}.xfer")
-            ctrl_proc = self.sim.process(
-                self._controller_transfer(string, nbytes),
-                name=f"{self.name}.xfer")
-            return [read_proc, string_proc, ctrl_proc]
+            return [
+                sim.process(disk.read(lba, nsectors), name=read_name),
+                sim.process(string.transfer(nbytes), name=string_name),
+                sim.process(self._controller_transfer(string, nbytes),
+                            name=self._xfer_name),
+            ]
 
-        with self.sim.tracer.span("cougar.read", self.name, nbytes=nbytes):
-            yield from self._dual_string_delay(string)
+        with sim.tracer.span("cougar.read", self.name, nbytes=nbytes):
+            yield from self._dual_string_delay(index)
             values = yield from self._run_attempts(index, spawn_legs)
             return values[0]
 
     def write(self, disk: DiskDrive, lba: int, data: bytes):
         """Process: write ``data`` to ``disk`` down through the controller."""
-        string = self.string_of(disk)
-        index = self.strings.index(string)
+        string, index, _read_name, write_name, string_name = \
+            self._routes.get(disk) or self._route(disk)
+        nbytes = len(data)
+        sim = self.sim
 
         def spawn_legs():
-            write_proc = self.sim.process(disk.write(lba, data),
-                                          name=f"{disk.name}.write")
-            string_proc = self.sim.process(
-                string.transfer(len(data), write=True),
-                name=f"{string.name}.xfer")
-            ctrl_proc = self.sim.process(
-                self._controller_transfer(string, len(data)),
-                name=f"{self.name}.xfer")
-            return [write_proc, string_proc, ctrl_proc]
+            return [
+                sim.process(disk.write(lba, data), name=write_name),
+                sim.process(string.transfer(nbytes, write=True),
+                            name=string_name),
+                sim.process(self._controller_transfer(string, nbytes),
+                            name=self._xfer_name),
+            ]
 
-        with self.sim.tracer.span("cougar.write", self.name,
-                                  nbytes=len(data)):
-            yield from self._dual_string_delay(string)
+        with sim.tracer.span("cougar.write", self.name, nbytes=nbytes):
+            yield from self._dual_string_delay(index)
             yield from self._run_attempts(index, spawn_legs)
             return None

@@ -140,7 +140,7 @@ class DiskDrive:
     # ------------------------------------------------------------------
     @property
     def num_sectors(self) -> int:
-        return self.spec.capacity_bytes // SECTOR_SIZE
+        return self.spec.num_sectors
 
     def cylinder_of(self, lba: int) -> int:
         return (lba * SECTOR_SIZE) // self.spec.cylinder_bytes
@@ -336,10 +336,10 @@ class DiskDrive:
     def _check_extent(self, lba: int, nsectors: int) -> None:
         if nsectors <= 0:
             raise HardwareError(f"transfer must cover >= 1 sector, got {nsectors}")
-        if lba < 0 or lba + nsectors > self.num_sectors:
+        if lba < 0 or lba + nsectors > self.spec.num_sectors:
             raise HardwareError(
                 f"{self.name}: extent [{lba}, {lba + nsectors}) outside "
-                f"0..{self.num_sectors}")
+                f"0..{self.spec.num_sectors}")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<DiskDrive {self.name} ({self.spec.name})>"

@@ -25,6 +25,7 @@ The simulated prototype is calibrated against these published anchors:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.units import KIB, MB, MIB, MS, SECTOR_SIZE
 
@@ -55,11 +56,15 @@ class DiskSpec:
     #: its parity there; the drive's read-ahead covers such gaps.
     readahead_window_sectors: int = 256
 
-    @property
+    # The derived values below are read on every disk operation, so
+    # each is computed once per spec (``cached_property`` stores into
+    # the instance ``__dict__``, which a frozen dataclass still has).
+
+    @cached_property
     def revolution_time_s(self) -> float:
         return 60.0 / self.rpm
 
-    @property
+    @cached_property
     def avg_rotational_latency_s(self) -> float:
         return self.revolution_time_s / 2.0
 
@@ -67,15 +72,19 @@ class DiskSpec:
     def track_bytes(self) -> int:
         return self.sectors_per_track * SECTOR_SIZE
 
-    @property
+    @cached_property
     def cylinder_bytes(self) -> int:
         return self.track_bytes * self.tracks_per_cylinder
 
-    @property
+    @cached_property
     def num_cylinders(self) -> int:
         return max(1, self.capacity_bytes // self.cylinder_bytes)
 
-    @property
+    @cached_property
+    def num_sectors(self) -> int:
+        return self.capacity_bytes // SECTOR_SIZE
+
+    @cached_property
     def media_rate_mb_s(self) -> float:
         """Sustained media transfer rate (one track per revolution)."""
         return self.track_bytes / self.revolution_time_s / MB

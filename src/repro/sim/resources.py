@@ -2,17 +2,27 @@
 
 These model contention points — a disk's command queue slot, the host
 CPU, an XBUS port — where processes must wait their turn.
+
+Every grant triggers its :class:`Event` in place: the value is set and
+the heap entry pushed here, exactly as ``Event.succeed`` would, without
+the call (a channel transfer acquires and releases once per block
+moved).  Pushes go through the module attribute ``heapq.heappush``,
+like every kernel push (DESIGN.md §7).
 """
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
-from heapq import heappop, heappush
+# The priority waiter queue is not the event heap: bound aliases keep
+# its pushes out of the scheduling fingerprint and the event count.
+from heapq import heappop as _waiter_pop
+from heapq import heappush as _waiter_push
 from itertools import count
 from typing import Any, Deque, Optional
 
 from repro.errors import SimulationError
-from repro.sim.core import Event, Simulator
+from repro.sim.core import _KIND_FIRE, Event, Simulator
 
 
 class Resource:
@@ -47,10 +57,13 @@ class Resource:
         return len(self._waiters)
 
     def acquire(self) -> Event:
-        event = Event(self.sim)
+        sim = self.sim
+        event = Event(sim)
         if self._in_use < self.capacity:
             self._in_use += 1
-            event.succeed()
+            event._value = None
+            heapq.heappush(sim._heap,
+                           (sim.now, next(sim._seq), _KIND_FIRE, event))
         else:
             self._waiters.append(event)
         return event
@@ -60,7 +73,11 @@ class Resource:
             raise SimulationError(f"release of idle resource {self.name!r}")
         if self._waiters:
             # Hand the slot directly to the next waiter.
-            self._waiters.popleft().succeed()
+            event = self._waiters.popleft()
+            event._value = None
+            sim = self.sim
+            heapq.heappush(sim._heap,
+                           (sim.now, next(sim._seq), _KIND_FIRE, event))
         else:
             self._in_use -= 1
 
@@ -102,12 +119,15 @@ class PriorityResource(Resource):
         self._tiebreak = count()
 
     def acquire(self, priority: int = 0) -> Event:
-        event = Event(self.sim)
+        sim = self.sim
+        event = Event(sim)
         if self._in_use < self.capacity:
             self._in_use += 1
-            event.succeed()
+            event._value = None
+            heapq.heappush(sim._heap,
+                           (sim.now, next(sim._seq), _KIND_FIRE, event))
         else:
-            heappush(self._pq, (priority, next(self._tiebreak), event))
+            _waiter_push(self._pq, (priority, next(self._tiebreak), event))
         return event
 
     @property
@@ -118,8 +138,11 @@ class PriorityResource(Resource):
         if self._in_use <= 0:
             raise SimulationError(f"release of idle resource {self.name!r}")
         if self._pq:
-            _prio, _seq, event = heappop(self._pq)
-            event.succeed()
+            _prio, _seq, event = _waiter_pop(self._pq)
+            event._value = None
+            sim = self.sim
+            heapq.heappush(sim._heap,
+                           (sim.now, next(sim._seq), _KIND_FIRE, event))
         else:
             self._in_use -= 1
 
@@ -144,26 +167,36 @@ class Store:
         return len(self._items)
 
     def put(self, item: Any) -> Event:
-        event = Event(self.sim)
+        sim = self.sim
+        event = Event(sim)
         if self._getters:
             # Hand the item straight to a waiting getter.
-            self._getters.popleft().succeed(item)
-            event.succeed()
+            getter = self._getters.popleft()
+            getter._value = item
+            heapq.heappush(sim._heap,
+                           (sim.now, next(sim._seq), _KIND_FIRE, getter))
         elif self.capacity is None or len(self._items) < self.capacity:
             self._items.append(item)
-            event.succeed()
         else:
             self._putters.append((event, item))
+            return event
+        event._value = None
+        heapq.heappush(sim._heap, (sim.now, next(sim._seq), _KIND_FIRE, event))
         return event
 
     def get(self) -> Event:
-        event = Event(self.sim)
+        sim = self.sim
+        event = Event(sim)
         if self._items:
-            event.succeed(self._items.popleft())
+            event._value = self._items.popleft()
+            heapq.heappush(sim._heap,
+                           (sim.now, next(sim._seq), _KIND_FIRE, event))
             if self._putters:
                 put_event, item = self._putters.popleft()
                 self._items.append(item)
-                put_event.succeed()
+                put_event._value = None
+                heapq.heappush(sim._heap,
+                               (sim.now, next(sim._seq), _KIND_FIRE, put_event))
         else:
             self._getters.append(event)
         return event

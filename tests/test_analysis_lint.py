@@ -87,6 +87,42 @@ def test_sim001_spawn_and_ambiguous_names_not_flagged():
     """) == []
 
 
+def test_sim001_locally_bound_name_not_flagged():
+    # ``check`` is also the name of a project generator, but here it is
+    # a local (an assignment target or a parameter), so the call is not
+    # a call to that generator.
+    assert codes("""
+        def check(source):
+            yield 1
+
+        def register(self, events):
+            check = self._check
+            for event in events:
+                check(event)
+
+        def apply(check, event):
+            check(event)
+    """) == []
+
+
+def test_sim001_generator_still_flagged_beside_local_bindings():
+    # Local bindings exempt only their own names, and only bare-name
+    # calls: a dropped generator call in the same function is reported.
+    found = run("""
+        def transfer(nbytes):
+            yield 1
+
+        def body(self):
+            check = self._check
+            check(1)
+            transfer(100)
+            self.transfer(5)
+            yield 2
+    """)
+    assert [f.code for f in found] == ["SIM001", "SIM001"]
+    assert all("transfer()" in f.message for f in found)
+
+
 def test_sim001_line_pragma_suppresses():
     assert codes("""
         def transfer(nbytes):

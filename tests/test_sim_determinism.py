@@ -1,15 +1,15 @@
 """The optimized kernel must stay deterministic: identical workloads on
 fresh Simulators must schedule the identical sequence of heap entries.
 
-The trace is captured by hooking ``heapq.heappush`` rather than
-``Simulator._enqueue`` — the ``Simulator.timeout()`` fast path pushes
-its heap entry inline and never goes through ``_enqueue``, so only the
-heappush chokepoint sees every scheduling action.  Each trace record is
-a ``(time, kind, event-type, component)`` tuple.
+The trace is captured by hooking ``heapq.heappush``: every kernel
+fast path pushes its heap entry inline through that module attribute,
+so it is the one chokepoint that sees every scheduling action.  Each
+trace record is a ``(time, kind, event-type, component)`` tuple.
 
-Besides run-to-run identity, the fig5 traces are pinned to golden
-digests, so a change that claims "scheduling unchanged" is checked
-against the recorded schedule rather than only against itself.
+Besides run-to-run identity, the fig5 traces — and a table2 run on
+each server, and a fault-plan run with op-deadline retries — are pinned
+to golden digests, so a change that claims "scheduling unchanged" is
+checked against the recorded schedule rather than only against itself.
 """
 
 from __future__ import annotations
@@ -17,11 +17,13 @@ from __future__ import annotations
 import gc
 import hashlib
 import heapq
+import random
 
 import pytest
 
+from repro.sim import PriorityResource, Simulator, Store
 from repro.sim.core import _KIND_INTERRUPT
-from repro.units import KIB
+from repro.units import KIB, MS
 
 #: SHA-256 of ``repr((result, trace))`` for ``fig5._measure(kind,
 #: 256 KiB, 4, seed)``, recorded with the per-sector disk store that
@@ -32,6 +34,66 @@ _FIG5_GOLDEN = {
         "d864e62bc1f00a4689eec60944389fac42fd23c3b2aa3a0f4bfb806ae7a83b5f",
     ("write", 202):
         "edae6338a4ffee948155b1604b191733a7ece884852fbb8e359a4419a46606bd",
+}
+
+
+def _table2_raid2():
+    from repro.experiments import table2_small_io as table2
+    return table2._raid2_rate(4, 6, 42)
+
+
+def _table2_raid1():
+    from repro.experiments import table2_small_io as table2
+    return table2._raid1_rate(4, 6, 43)
+
+
+def _fault_retry_stream(sim: Simulator):
+    """Mixed hw reads/writes on the paper's server under a fault plan:
+    two transient errors heal by Cougar retry, and a string stall
+    outlives the op deadline, so attempts are abandoned (``any_of``
+    against a deadline, then interrupts into the live legs)."""
+    from repro.faults import (FaultPlan, LinkStall, RetryPolicy,
+                              TransientFault, attach_server)
+    from repro.server import Raid2Config, Raid2Server
+    from repro.workloads import random_aligned_offsets, run_request_stream
+
+    policy = RetryPolicy(max_attempts=8, backoff_s=5 * MS,
+                         op_timeout_s=60 * MS)
+    server = Raid2Server(sim, Raid2Config(retry=policy))
+    attach_server(FaultPlan.of(
+        TransientFault(disk="raid2.xbus0.d1.0.0", count=2),
+        LinkStall(link="raid2.xbus0.c2.s1", at_s=0.0, duration_s=0.25)),
+        server)
+    requests = random_aligned_offsets(
+        random.Random(5), server.raid.capacity_bytes, 256 * KIB, 6,
+        alignment=1024)
+
+    def op(offset, nbytes):
+        if offset % 2048:
+            yield from server.hw_write(offset, nbytes)
+        else:
+            yield from server.hw_read(offset, nbytes)
+
+    rate = run_request_stream(sim, op, requests).mb_per_s
+    return rate, [(c.op_timeouts, c.retries) for c in server.board.cougars]
+
+
+def _fault_retry_run():
+    return _fault_retry_stream(Simulator())
+
+
+#: SHA-256 of ``repr((result, trace))`` for runs off the fig5 path,
+#: recorded before the kernel's inline-push fast paths landed.
+_MORE_GOLDEN = {
+    "table2-raid2": (
+        _table2_raid2,
+        "0bdb5caade322875ac67ed7447e570ef240d0d43930f1754273b33303b526d9f"),
+    "table2-raid1": (
+        _table2_raid1,
+        "64002b723c0f43307676162b0b82322de227c621f474c5f6fc0d307ecb52884d"),
+    "fault-retry": (
+        _fault_retry_run,
+        "2d0e42343e7a33acd3c514616cdc21537f319b265265abc0ed574bc6d0570ee8"),
 }
 
 
@@ -87,6 +149,22 @@ def test_fig5_trace_matches_golden_fingerprint(kind, seed):
     result, trace = _traced(lambda: fig5._measure(kind, 256 * KIB, 4, seed))
     digest = hashlib.sha256(repr((result, trace)).encode()).hexdigest()
     assert digest == _FIG5_GOLDEN[(kind, seed)]
+
+
+@pytest.mark.parametrize("name", sorted(_MORE_GOLDEN))
+def test_trace_matches_golden_fingerprint(name):
+    run, golden = _MORE_GOLDEN[name]
+    result, trace = _traced(run)
+    digest = hashlib.sha256(repr((result, trace)).encode()).hexdigest()
+    assert digest == golden
+
+
+def test_fault_retry_run_exercises_deadlines_and_retries():
+    # The golden above only guards the AnyOf/interrupt path if the run
+    # really abandons attempts at the deadline and retries transients.
+    _rate, per_cougar = _fault_retry_run()
+    assert sum(timeouts for timeouts, _ in per_cougar) >= 1
+    assert sum(retries for _, retries in per_cougar) >= 1
 
 
 def test_table2_trace_identical_across_fresh_simulators():
@@ -178,3 +256,81 @@ def test_empty_fault_plan_leaves_fingerprint_bit_identical():
     result_armed, trace_armed = _traced(lambda: measure(True))
     assert result_armed == result_plain
     assert trace_armed == trace_plain
+
+
+# ---------------------------------------------------------------------------
+# hook completeness: one hooked heapq.heappush per sequence number
+# ---------------------------------------------------------------------------
+
+def _raid2_hw_stream(sim: Simulator):
+    from repro.server import Raid2Config, Raid2Server
+    from repro.workloads import random_aligned_offsets, run_request_stream
+
+    server = Raid2Server(sim, Raid2Config.paper_default())
+    requests = random_aligned_offsets(
+        random.Random(3), server.raid.capacity_bytes, 128 * KIB, 8,
+        alignment=1024)
+
+    def op(offset, nbytes):
+        if offset % 2048:
+            yield from server.hw_write(offset, nbytes)
+        else:
+            yield from server.hw_read(offset, nbytes)
+
+    return run_request_stream(sim, op, requests, concurrency=2).mb_per_s
+
+
+def _store_priority_exchange(sim: Simulator):
+    store = Store(sim, capacity=2, name="q")
+    arbiter = PriorityResource(sim, capacity=1, name="arb")
+    got = []
+
+    def producer(tag):
+        for index in range(6):
+            yield arbiter.acquire(priority=tag)
+            try:
+                yield sim.timeout(0.5)
+            finally:
+                arbiter.release()
+            yield store.put((tag, index))
+
+    def consumer():
+        # Waits for the first item (a getter handed its item by put),
+        # then falls behind, so the store fills and putters block
+        # (get() from a full store, releasing a putter).
+        for _ in range(18):
+            item = yield store.get()
+            got.append(item)
+            yield sim.timeout(1.3)
+
+    for tag in (2, 0, 1):
+        sim.process(producer(tag), name=f"producer{tag}")
+    sim.process(consumer(), name="consumer")
+    sim.run()
+    return got
+
+
+@pytest.mark.parametrize("run", [_raid2_hw_stream, _store_priority_exchange,
+                                 _fault_retry_stream],
+                         ids=["raid2-hw", "store-priority", "fault-retry"])
+def test_every_sequence_number_goes_through_hooked_heappush(run):
+    # Fast paths push their heap entries inline; each must still call
+    # the module attribute heapq.heappush (the fingerprint hook and the
+    # benchmark's event counter) and draw exactly one sequence number.
+    gc.collect()
+    sim = Simulator()
+    pushes = [0]
+    original = heapq.heappush
+
+    def hook(heap, entry):
+        if heap is sim._heap:
+            pushes[0] += 1
+        return original(heap, entry)
+
+    heapq.heappush = hook
+    try:
+        run(sim)
+    finally:
+        heapq.heappush = original
+    assert pushes[0] > 0
+    assert pushes[0] == next(sim._seq)
